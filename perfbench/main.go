@@ -127,18 +127,24 @@ func run(cfg config) (*result, error) {
 	if cfg.trace {
 		windows = 2 // untraced, then traced
 	}
+	t0 := time.Now()
 	in := makeInputs(s, cfg.seed, time.Duration(windows)*cfg.seconds)
+	t1 := time.Now()
 	st, setupTimes, err := setUp(cfg, &in, tmp)
 	if err != nil {
 		return nil, err
 	}
+	t2 := time.Now()
 	res := &result{cfg: cfg, correct: true}
 	sv, err := serve(cfg, &in, st, res)
 	if err != nil {
 		return nil, err
 	}
+	t3 := time.Now()
 
 	bad, attempted := verify(sv.loop, &in)
+	res.notes = append(res.notes, fmt.Sprintf("phases: inputs %.1fs, set-up %.1fs, serve %.1fs, verify %.1fs",
+		t1.Sub(t0).Seconds(), t2.Sub(t1).Seconds(), t3.Sub(t2).Seconds(), time.Since(t3).Seconds()))
 	res.attempted = attempted
 	res.failed += bad
 	if res.failed > 0 {
@@ -154,7 +160,7 @@ func run(cfg config) (*result, error) {
 		res.rep = rep
 		rep.set("setup_s", setupTimes.quantile(0.5).Seconds(), len(setupTimes))
 		res.notes = append(res.notes, fmt.Sprintf("set-up times %v", setupTimes))
-		if err := setEndToEnd(rep, res, sv.win1, reqs, s.batch); err != nil {
+		if err := setEndToEnd(rep, res, sv.win1, reqs, s.batch, &sv.steal); err != nil {
 			return nil, err
 		}
 		rep.set("index_mb", float64(sv.indexBytes)/1e6, 0)
@@ -174,9 +180,8 @@ func run(cfg config) (*result, error) {
 			traced = append(traced, r)
 		}
 	}
-	untracedP50 := latencies(w1).quantile(0.5)
-	tracedP50 := latencies(traced).quantile(0.5)
-	rep.set("trace.overhead_frac", float64(tracedP50)/float64(untracedP50)-1, len(traced))
+	untraced, tracedMean := latencies(w1).mean(), latencies(traced).mean()
+	rep.set("trace.overhead_frac", float64(tracedMean)/float64(untraced)-1, len(traced))
 	if err := replayLayers(rep, res, &in, tmp, traced, sv.loop.epoch); err != nil {
 		return nil, err
 	}
@@ -208,20 +213,27 @@ func setUp(cfg config, in *inputs, tmp string) (*stack, dist, error) {
 	}
 }
 
-// warmUp waits out the warm-up of workload s and returns its length, and
-// whether the control loop had stopped repartitioning by then.
-func warmUp(s spec, idx *wazi.Sharded, epoch time.Time) (time.Duration, bool) {
-	time.Sleep(time.Until(epoch.Add(s.warmup)))
-	last, lastAt := idx.Repartitions(), time.Now()
+// warmUp waits out the warm-up of workload s and returns its length, when
+// the control loop was last seen to repartition (or, on a read-only
+// workload, rebuild), and whether it had gone quiet by the end.
+func warmUp(s spec, idx *wazi.Sharded, epoch time.Time) (end, lastActive time.Duration, quiet bool) {
+	activity := func() int64 {
+		n := idx.Repartitions()
+		if !s.writes {
+			n += idx.Rebuilds()
+		}
+		return n
+	}
+	last, lastAt := activity(), epoch
 	for time.Since(epoch) < maxWarmup {
-		if n := idx.Repartitions(); n != last || idx.Migrating() {
+		if n := activity(); n != last || idx.Migrating() {
 			last, lastAt = n, time.Now()
-		} else if time.Since(lastAt) >= quietFor {
-			return time.Since(epoch), true
+		} else if time.Since(epoch) >= s.warmup && time.Since(lastAt) >= quietFor {
+			return time.Since(epoch), lastAt.Sub(epoch), true
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	return time.Since(epoch), false
+	return time.Since(epoch), lastAt.Sub(epoch), false
 }
 
 // served is what serve observed.
@@ -230,6 +242,7 @@ type served struct {
 	win1, win2    window // untraced, traced (trace run only)
 	before, after counters
 	shards        shardSampler
+	steal         stealSampler
 	indexBytes    int64
 }
 
@@ -255,9 +268,12 @@ func serve(cfg config, in *inputs, st *stack, res *result) (sv *served, err erro
 		<-loopDone
 	}()
 
-	start, quiet := warmUp(cfg.spec, st.idx, epoch)
-	res.notes = append(res.notes, fmt.Sprintf("warm-up %.1fs (repartitions over: %v) saw %d rebuilds, %d repartitions",
-		start.Seconds(), quiet, st.idx.Rebuilds(), st.idx.Repartitions()))
+	sv.steal.start(epoch)
+	defer sv.steal.stop()
+	warm, lastActive, quiet := warmUp(cfg.spec, st.idx, epoch)
+	start := sv.steal.waitCalm()
+	res.notes = append(res.notes, fmt.Sprintf("warm-up %.1fs (control loop quiet: %v, last active at %.1fs; then %.1fs waiting for the host to calm) saw %d rebuilds, %d repartitions",
+		warm.Seconds(), quiet, lastActive.Seconds(), (start-warm).Seconds(), st.idx.Rebuilds(), st.idx.Repartitions()))
 	sv.win1 = window{start, start + cfg.seconds}
 	sv.win2 = window{sv.win1.end, sv.win1.end + cfg.seconds}
 	last := sv.win1.end
@@ -275,6 +291,11 @@ func serve(cfg config, in *inputs, st *stack, res *result) (sv *served, err erro
 	sv.shards.stop()
 	if err != nil {
 		return nil, err
+	}
+	res.notes = append(res.notes, fmt.Sprintf("measured window saw %d rebuilds, %d repartitions",
+		sv.after.rebuilds-sv.before.rebuilds, sv.after.repartitions-sv.before.repartitions))
+	if s, ok := sv.steal.share(sv.win1); ok {
+		res.notes = append(res.notes, fmt.Sprintf("host steal in the measured window: %.1f%%", 100*s))
 	}
 	<-loopDone
 
@@ -302,36 +323,50 @@ func serve(cfg config, in *inputs, st *stack, res *result) (sv *served, err erro
 }
 
 // The measured window is cut into equal parts, and each timing metric is
-// the median of its values over the parts, so that a burst of noise in
-// one part (a rebuild, a stall on the host) does not move it. The p99
-// takes up to tailParts longer parts, as many as hold 1000 requests each
-// on average; a part short of 1000, which leaves fewer than ten beyond
-// its p99, is left out.
+// the trimmed mean of its values over the parts the host left calm (see
+// host.go): the highest and lowest
+// fifth are dropped, so that a burst of noise in a few parts (a rebuild, a
+// stall on the host) does not move it, and the rest are averaged, which
+// spreads less than their median would when a part holds few slow ops
+// (the kNNs of serve-read-zipf). The p99 takes up to as many parts as hold
+// tailRequests requests each on average; a part short of 1000, which
+// leaves fewer than ten beyond its p99, is left out.
+//
+// The latency of all kinds together is reported as a mean, not a median:
+// on a mix of fast and slow kinds (ingest-wal's 50/50 inserts and ranges)
+// the median falls in the gap between the two and jumps with the share of
+// each kind in the window. The per-kind medians are per-layer metrics.
 const (
-	parts     = 15
-	tailParts = 5
+	parts        = 15
+	tailRequests = 1250
 )
 
 // setEndToEnd sets the throughput and latency metrics of window w.
-func setEndToEnd(rep *report, res *result, w window, reqs []request, batch int) error {
+func setEndToEnd(rep *report, res *result, w window, reqs []request, batch int, steal *stealSampler) error {
 	cut := func(n int) []dist {
-		out := make([]dist, n)
+		ws := make([]window, n)
 		step := (w.end - w.start) / time.Duration(n)
-		for i := range out {
-			out[i] = latencies(window{w.start + time.Duration(i)*step, w.start + time.Duration(i+1)*step}.of(reqs))
+		for i := range ws {
+			ws[i] = window{w.start + time.Duration(i)*step, w.start + time.Duration(i+1)*step}
 		}
+		var out []dist
+		calm := steal.calmParts(ws)
+		for _, i := range calm {
+			out = append(out, latencies(ws[i].of(reqs)))
+		}
+		res.notes = append(res.notes, fmt.Sprintf("timings from %d of %d parts", len(calm), n))
 		return out
 	}
 	partSecs := (w.end - w.start).Seconds() / parts
-	var tput, p50, p99 []float64
+	var tput, mean, p99 []float64
 	for _, d := range cut(parts) {
 		tput = append(tput, float64(len(d)*batch)/partSecs)
 		if len(d) > 0 {
-			p50 = append(p50, us(d.quantile(0.50)))
+			mean = append(mean, us(d.mean()))
 		}
 	}
 	n := len(w.of(reqs))
-	for _, d := range cut(max(min(tailParts, n/1000), 1)) {
+	for _, d := range cut(max(min(parts, n/tailRequests), 1)) {
 		if tailOK(len(d), 0.99) {
 			p99 = append(p99, us(d.quantile(0.99)))
 		}
@@ -339,20 +374,24 @@ func setEndToEnd(rep *report, res *result, w window, reqs []request, batch int) 
 	if len(p99) == 0 {
 		return fmt.Errorf("latency_p99_us: %d requests leave fewer than 10 beyond the 99th percentile", n)
 	}
-	rep.set("throughput_ops_s", median(tput), n*batch)
-	rep.set("latency_p50_us", median(p50), n)
-	rep.set("latency_p99_us", median(p99), n)
-	res.notes = append(res.notes, fmt.Sprintf("per part: throughput %.0f, p50 %.0f; p99 %.0f", tput, p50, p99))
+	rep.set("throughput_ops_s", trimmedMean(tput), n*batch)
+	rep.set("latency_mean_us", trimmedMean(mean), n)
+	rep.set("latency_p99_us", trimmedMean(p99), n)
+	res.notes = append(res.notes, fmt.Sprintf("per part: throughput %.0f, mean %.0f; p99 %.0f", tput, mean, p99))
 	return nil
 }
 
-func median(v []float64) float64 {
+// trimmedMean drops the lowest and the highest fifth of v and returns the
+// mean of the rest.
+func trimmedMean(v []float64) float64 {
 	s := slices.Clone(v)
 	slices.Sort(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
+	s = s[len(s)/5 : len(s)-len(s)/5]
+	sum := 0.0
+	for _, x := range s {
+		sum += x
 	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+	return sum / float64(len(s))
 }
 
 // window is a span of time since the run's epoch.

@@ -37,7 +37,7 @@ var (
 var endToEnd = []metric{
 	{"setup_s", "s", lower, nil},
 	{"throughput_ops_s", "ops/s", higher, nil},
-	{"latency_p50_us", "us", lower, nil},
+	{"latency_mean_us", "us", lower, nil},
 	{"latency_p99_us", "us", lower, nil},
 	{"index_mb", "MB", lower, nil},
 }
@@ -141,6 +141,15 @@ func (d dist) quantile(q float64) time.Duration {
 // q-quantile.
 func tailOK(n int, q float64) bool {
 	return n-int(math.Ceil(q*float64(n))) >= 10
+}
+
+// mean returns the mean of d, which must not be empty.
+func (d dist) mean() time.Duration {
+	var sum time.Duration
+	for _, v := range d {
+		sum += v
+	}
+	return sum / time.Duration(len(d))
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

@@ -79,7 +79,7 @@ func TestDeclarationsMatchBenchmarkJSON(t *testing.T) {
 			t.Errorf("workload %d is %q, want %q", i, w.Name, s.name)
 		}
 		facts := []string{fmt.Sprintf("%dk", dataSize/1000), fmt.Sprintf("%d shards", numShards),
-			fmt.Sprintf("closed loop, %d clients", clients)}
+			fmt.Sprintf("closed loop, %d client", clients)}
 		if s.disk {
 			facts = append(facts, fmt.Sprintf("cache %d pages/shard", cachePages))
 		} else {
@@ -147,5 +147,21 @@ func TestDiskBytesCountsLiveGenerations(t *testing.T) {
 	}
 	if got := diskBytes(dir); got != 55 {
 		t.Errorf("diskBytes = %d, want 55", got)
+	}
+}
+
+func TestTrimmedMean(t *testing.T) {
+	for _, c := range []struct {
+		v    []float64
+		want float64
+	}{
+		{[]float64{7}, 7},
+		{[]float64{1, 3}, 2},
+		{[]float64{100, 2, 4, 3, 0}, 3},
+		{[]float64{9, 1, 2, 3, 4, 5, 6, 7, 8, 1000}, 5.5},
+	} {
+		if got := trimmedMean(c.v); got != c.want {
+			t.Errorf("trimmedMean(%v) = %v, want %v", c.v, got, c.want)
+		}
 	}
 }

@@ -26,24 +26,29 @@ const (
 	leafSize  = 256
 	numShards = 8
 	trainSize = 2_000
-	clients   = 2 // closed loop: each client waits for its reply
-	knnK      = 10
-	batchOps  = 32
+	// clients is the closed loop's size: each client waits for its reply.
+	// One client leaves the second CPU of a two-CPU host to the control
+	// loop's rebuilds and the garbage collector, which with two clients
+	// queued behind them and spread the timings from run to run.
+	clients  = 1
+	knnK     = 10
+	batchOps = 32
 	// cachePages is the per-shard block cache of scan-disk-batch: about a
 	// quarter of the mean shard's leaf pages. The 8 shards hold from about
 	// 30 to 480 pages each, about 265 on average.
 	cachePages = 64
 	// The warm-up runs before the measured window so that caches fill and
-	// the start-up repartitions of the control loop land outside it. It
-	// lasts the workload's warm-up at least, then until no repartition has
-	// started or ended for quietFor, but no longer than maxWarmup.
-	// Rebuilds do not count: compaction rebuilds are the steady state of a
-	// write workload.
+	// the start-up repartitions and rebuilds of the control loop land
+	// outside it. It lasts the workload's warm-up at least, and ends once no
+	// repartition has started or ended, and on a read-only workload no
+	// rebuild has run, for quietFor, but no later than maxWarmup.
+	// Compaction rebuilds, the steady state of a write workload, do not
+	// count.
 	quietFor  = 3 * time.Second
 	maxWarmup = 30 * time.Second
 	// setups is how many times a run sets the serving stack up; setup_s is
 	// their median.
-	setups = 5
+	setups = 3
 )
 
 // Selectivities, as fractions of the unit square's area.
@@ -84,6 +89,10 @@ type spec struct {
 	batch int  // ops per HTTP request: 1, or batchOps for /v1/batch
 	disk  bool // leaf pages in per-shard page files behind a block cache
 	wal   bool // group-commit write-ahead log
+	// writes is set when the stream inserts. Its compaction rebuilds never
+	// settle, so the warm-up waits only for repartitions; on a read-only
+	// workload it waits for the start-up rebuilds as well.
+	writes bool
 	// rate is a generous ceiling on ops per second, used to size the
 	// pre-generated stream; a faster run wraps around it.
 	rate int
@@ -117,7 +126,7 @@ var specs = []spec{
 		},
 	},
 	{
-		name: "ingest-wal", batch: 1, wal: true, rate: 6_000, warmup: 5 * time.Second,
+		name: "ingest-wal", batch: 1, wal: true, writes: true, rate: 6_000, warmup: 5 * time.Second,
 		train: func(seed int64) []wazi.Rect { return workload.Skewed(region, trainSize, selServe, seed) },
 		gen: func(_ []wazi.Point, n int, seed int64) []op {
 			qs := workload.Skewed(region, n, selServe, seed)
