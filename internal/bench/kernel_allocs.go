@@ -180,14 +180,38 @@ func KernelAllocs(cfg Config) []Table {
 		Header: []string{"Path", "ns/op"},
 		Notes:  []string{"wall time of the best batch; timing-noisy, gated (if at all) by the latency threshold"},
 	}
+	// The kNN rows' targets, whose cumulative PointsScanned gives the scan
+	// work per query in its own exact-class table.
+	scanned := map[string]func() int64{
+		"index/knn":        func() int64 { return idx.Stats().AtomicSnapshot().PointsScanned },
+		"sharded/knn":      func() int64 { return sh.Stats().PointsScanned },
+		"index-disk/knn":   func() int64 { return diskIdx.Stats().AtomicSnapshot().PointsScanned },
+		"sharded-disk/knn": func() int64 { return diskSh.Stats().PointsScanned },
+	}
+	scan := Table{
+		ID:     "kernel-allocs",
+		Title:  fmt.Sprintf("kNN scan work, k=%d at the range workload's centres (8 shards)", k),
+		Header: []string{"Path", "Points scanned/op"},
+		Class:  harness.ClassExact,
+		Notes: []string{
+			"Stats().PointsScanned delta over one query batch; deterministic, ratcheted like the allocation counts",
+			"the sharded rows search the home shard, then only radius-bounded windows on shards that can still contribute",
+		},
+	}
 	for _, row := range rows {
 		allocs, bytes, nsOp := measureAllocs(row.run, len(qs))
 		exact.Rows = append(exact.Rows, []string{
 			row.name, fmt.Sprintf("%.3f", allocs), fmt.Sprintf("%.1f", bytes),
 		})
 		lat.Rows = append(lat.Rows, []string{row.name, fmt.Sprintf("%.0f", nsOp)})
+		if count := scanned[row.name]; count != nil {
+			before := count()
+			row.run()
+			perOp := float64(count()-before) / float64(len(qs))
+			scan.Rows = append(scan.Rows, []string{row.name, fmt.Sprintf("%.1f", perOp)})
+		}
 	}
-	return []Table{exact, lat}
+	return []Table{exact, lat, scan}
 }
 
 // center returns the midpoint of a query rectangle.

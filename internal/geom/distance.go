@@ -81,3 +81,23 @@ func siftDist(pts []Point, root, end int, q Point) {
 		root = child
 	}
 }
+
+// MinDistSq returns the squared distance from p to the nearest point of the
+// closed rectangle r (0 when r contains p) — the MINDIST lower bound of
+// nearest-neighbour search. Rounding is monotone, so the computed value
+// never exceeds DistSq(p, x) for any x inside r: a search that skips r
+// because MinDistSq exceeds its current bound skips nothing it needed.
+func MinDistSq(p Point, r Rect) float64 {
+	var dx, dy float64
+	if p.X < r.MinX {
+		dx = r.MinX - p.X
+	} else if p.X > r.MaxX {
+		dx = p.X - r.MaxX
+	}
+	if p.Y < r.MinY {
+		dy = r.MinY - p.Y
+	} else if p.Y > r.MaxY {
+		dy = p.Y - r.MaxY
+	}
+	return dx*dx + dy*dy
+}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -199,6 +200,35 @@ func TestIntersectUnionProperty(t *testing.T) {
 		}
 		if a.Intersects(b) != ab.Valid() {
 			t.Fatalf("Intersects disagrees with Intersect validity for %v, %v", a, b)
+		}
+	}
+}
+
+// Property: MinDistSq is a floating-point-exact lower bound — never above
+// DistSq to any point of the rectangle, including its corners and points a
+// few ULPs inside an edge — and zero exactly when the rectangle contains p.
+func TestMinDistSqLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 5000; i++ {
+		r := NewRect(
+			Point{rng.Float64()*10 - 5, rng.Float64()*10 - 5},
+			Point{rng.Float64()*10 - 5, rng.Float64()*10 - 5},
+		)
+		p := Point{rng.Float64()*20 - 10, rng.Float64()*20 - 10}
+		md := MinDistSq(p, r)
+		if (md == 0) != r.Contains(p) {
+			t.Fatalf("MinDistSq(%v, %v) = %v, Contains = %v", p, r, md, r.Contains(p))
+		}
+		x := math.Nextafter(r.MinX, r.MaxX)
+		y := math.Nextafter(r.MaxY, r.MinY)
+		inside := []Point{
+			r.BL(), r.TR(), {r.MinX, r.MaxY}, {r.MaxX, r.MinY}, {x, y}, r.Center(),
+			{r.MinX + rng.Float64()*r.Width(), r.MinY + rng.Float64()*r.Height()},
+		}
+		for _, c := range inside {
+			if d := DistSq(p, c); md > d {
+				t.Fatalf("MinDistSq(%v, %v) = %v exceeds DistSq to %v = %v", p, r, md, c, d)
+			}
 		}
 	}
 }

@@ -71,6 +71,17 @@ func (b *Brute) PointQuery(p geom.Point) bool {
 	return false
 }
 
+// KNN returns the k points nearest to q by a full sort in the (distance,
+// X, Y) total order of geom.DistLess — the exact, tie-resolved answer every
+// kNN path must reproduce point for point.
+func (b *Brute) KNN(q geom.Point, k int) []geom.Point {
+	b.stats.PointQueries++
+	b.stats.PointsScanned += int64(len(b.pts))
+	out := append([]geom.Point(nil), b.pts...)
+	geom.SortByDistance(out, q)
+	return out[:min(max(k, 0), len(out))]
+}
+
 // Insert appends p.
 func (b *Brute) Insert(p geom.Point) {
 	b.stats.Inserts++

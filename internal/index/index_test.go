@@ -53,3 +53,25 @@ func TestBruteAccounting(t *testing.T) {
 		t.Fatal("Bytes must be positive")
 	}
 }
+
+// TestBruteKNN pins the reference kNN: nearest first, ties in (X, Y)
+// order, clamped to the point count.
+func TestBruteKNN(t *testing.T) {
+	b := index.NewBrute([]geom.Point{{X: 1, Y: 0}, {X: 0, Y: 1}, {X: 0, Y: 0}, {X: -1, Y: 0}, {X: 3, Y: 3}})
+	got := b.KNN(geom.Point{}, 4)
+	want := []geom.Point{{X: 0, Y: 0}, {X: -1, Y: 0}, {X: 0, Y: 1}, {X: 1, Y: 0}}
+	if len(got) != len(want) {
+		t.Fatalf("KNN = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("KNN = %v, want %v", got, want)
+		}
+	}
+	if n := len(b.KNN(geom.Point{}, 99)); n != 5 {
+		t.Fatalf("KNN(k > Len) returned %d points, want 5", n)
+	}
+	if n := len(b.KNN(geom.Point{}, 0)); n != 0 {
+		t.Fatalf("KNN(k = 0) returned %d points", n)
+	}
+}

@@ -1,7 +1,10 @@
 package indextest
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/wazi-index/wazi/internal/geom"
@@ -67,6 +70,7 @@ func Differential(t *testing.T, buildMem, buildDisk Builder) {
 	t.Run("Repartition", func(t *testing.T) { diffRepartition(t, buildMem, buildDisk) })
 	t.Run("Recovery", func(t *testing.T) { diffRecovery(t, buildMem, buildDisk) })
 	t.Run("ColdCache", func(t *testing.T) { diffColdCache(t, buildMem, buildDisk) })
+	t.Run("KNN", func(t *testing.T) { diffKNN(t, buildMem, buildDisk) })
 	t.Run("DiskConformance", func(t *testing.T) { Conformance(t, buildDisk) })
 }
 
@@ -487,6 +491,128 @@ func diffRecovery(t *testing.T, buildMem, buildDisk Builder) {
 		same(t, got, recMem.RangeQuery(r), "recovered disk vs recovered mem "+r.String())
 		same(t, got, diskIdx.RangeQuery(r), "recovered disk vs never-crashed disk "+r.String())
 		same(t, got, memIdx.RangeQuery(r), "recovered disk vs never-crashed mem "+r.String())
+	}
+}
+
+// knner is the optional nearest-neighbour surface of a differential target.
+type knner interface {
+	KNN(q geom.Point, k int) []geom.Point
+}
+
+// diffKNN checks k-nearest-neighbour answers point for point — order and
+// tie resolution included — against brute force on both backends. The
+// inputs stress partitioned and window-based searches: a dyadic lattice,
+// whose rings of neighbours tie exactly (every coordinate and distance is
+// exact in float64), so tie groups straddle any partition cut; clusters of
+// points a few ULPs apart, mid-domain and at the origin, where squared
+// distances underflow to zero; tombstones on the nearest neighbours of the
+// query points; a scatter of buffered inserts, some on exact ties; query
+// points outside the data bounds; and k past Len.
+func diffKNN(t *testing.T, buildMem, buildDisk Builder) {
+	t.Helper()
+	pts := ClusteredPoints(3000, 101)
+	for i := 0; i <= 32; i++ {
+		for j := 0; j <= 32; j++ {
+			pts = append(pts, geom.Point{X: float64(i) / 32, Y: float64(j) / 32})
+		}
+	}
+	ulpCluster := func(c geom.Point) []geom.Point {
+		var out []geom.Point
+		for x, i := c.X, 0; i < 5; x, i = math.Nextafter(x, 2), i+1 {
+			for y, j := c.Y, 0; j < 5; y, j = math.Nextafter(y, 2), j+1 {
+				out = append(out, geom.Point{X: x, Y: y})
+			}
+		}
+		return out
+	}
+	pts = append(pts, ulpCluster(geom.Point{X: 0.5, Y: 0.5})...)
+	pts = append(pts, ulpCluster(geom.Point{X: 0.25, Y: 0.75})...)
+	pts = append(pts, ulpCluster(geom.Point{})...)
+	qs := SkewedQueries(100, 102)
+	memIdx := buildMem(pts, qs)
+	diskIdx := buildDisk(pts, qs)
+	mem, okM := memIdx.(knner)
+	disk, okD := diskIdx.(knner)
+	if !okM || !okD {
+		t.Skip("index does not support kNN")
+	}
+
+	rng := rand.New(rand.NewSource(103))
+	queries := []geom.Point{
+		{X: 0.5, Y: 0.5}, {X: math.Nextafter(0.5, 0), Y: 0.5}, {X: 0.25, Y: 0.75}, {},
+		{X: -0.5, Y: 0.3}, {X: 1.75, Y: 2.5}, {X: 0.5, Y: -3}, {X: -1, Y: -1},
+	}
+	for i := 0; i < 30; i++ {
+		// Lattice nodes and cell centres: exact rings of tied neighbours.
+		x, y := float64(rng.Intn(65))/64, float64(rng.Intn(65))/64
+		queries = append(queries, geom.Point{X: x, Y: y})
+	}
+	for i := 0; i < 30; i++ {
+		queries = append(queries, geom.Point{X: rng.Float64(), Y: rng.Float64()})
+	}
+	const maxK = 37
+	live := append([]geom.Point{}, pts...)
+	check := func(ctx string) {
+		t.Helper()
+		ref := index.NewBrute(live)
+		for _, q := range queries {
+			want := ref.KNN(q, maxK)
+			for _, k := range []int{1, 4, 10, maxK} {
+				got := disk.KNN(q, k)
+				sameOrder(t, got, want[:k], fmt.Sprintf("%s: disk vs brute, q %v k %d", ctx, q, k))
+				sameOrder(t, mem.KNN(q, k), got, fmt.Sprintf("%s: mem vs disk, q %v k %d", ctx, q, k))
+			}
+		}
+		q, k := queries[len(queries)-1], len(live)+5
+		got := disk.KNN(q, k)
+		sameOrder(t, got, ref.KNN(q, k), ctx+": disk vs brute, k past Len")
+		sameOrder(t, mem.KNN(q, k), got, ctx+": mem vs disk, k past Len")
+		StatsParity(t, snapshotStats(memIdx), snapshotStats(diskIdx), ctx)
+	}
+	check("as built")
+
+	memUp, okM := memIdx.(updatable)
+	diskUp, okD := diskIdx.(updatable)
+	if !okM || !okD {
+		return
+	}
+	// Tombstone the two nearest neighbours of every third query point, then
+	// buffer inserts: random ones, and lattice cell centres that tie
+	// exactly with the nodes around them.
+	for i := 0; i < len(queries); i += 3 {
+		for _, p := range index.NewBrute(live).KNN(queries[i], 2) {
+			dm, dd := memUp.Delete(p), diskUp.Delete(p)
+			if dm != dd || !dm {
+				t.Fatalf("Delete(%v) diverged: mem %v, disk %v", p, dm, dd)
+			}
+			j := slices.Index(live, p)
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	for i := 0; i < 150; i++ {
+		p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+		if i%3 == 0 {
+			p = geom.Point{X: float64(2*rng.Intn(32)+1) / 64, Y: float64(2*rng.Intn(32)+1) / 64}
+		}
+		memUp.Insert(p)
+		diskUp.Insert(p)
+		live = append(live, p)
+	}
+	check("after churn")
+}
+
+// sameOrder requires got and want to be the same sequence — kNN answers are
+// compared rank by rank, not as multisets.
+func sameOrder(t *testing.T, got, want []geom.Point, ctx string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		for i := 0; i < min(len(got), len(want)); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("%s: rank %d is %v, want %v (lengths %d, %d)", ctx, i, got[i], want[i], len(got), len(want))
+			}
+		}
+		t.Fatalf("%s: got %d points, want %d", ctx, len(got), len(want))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	wazi "github.com/wazi-index/wazi"
 	"github.com/wazi-index/wazi/internal/dataset"
+	"github.com/wazi-index/wazi/internal/index"
 	"github.com/wazi-index/wazi/internal/workload"
 )
 
@@ -215,6 +216,48 @@ func TestEndpoints(t *testing.T) {
 				tt.check(t, v)
 			}
 		})
+	}
+}
+
+// TestKNNHugeK drives the kNN overflow regression through the wire: a k of
+// math.MaxInt64 on /v1/knn must answer every live point, nearest first,
+// after a delete has left a tombstone behind.
+func TestKNNHugeK(t *testing.T) {
+	pts := dataset.Generate(dataset.NewYork, 5000, 3)
+	idx, err := wazi.NewSharded(pts, workload.Skewed(dataset.NewYork, 100, 0.0256e-2, 4),
+		wazi.WithShards(4), wazi.WithoutAutoRebuild())
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	t.Cleanup(idx.Close)
+	srv := New(Sharded(idx), Config{})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	if !idx.Delete(pts[42]) {
+		t.Fatal("Delete of an indexed point reported not found")
+	}
+
+	q := wazi.Point{X: 0.5, Y: 0.5}
+	resp, err := http.Post(ts.URL+"/v1/knn", "application/json",
+		strings.NewReader(`{"point":{"X":0.5,"Y":0.5},"k":9223372036854775807}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got rangeResp
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/knn: status %d, decode error %v", resp.StatusCode, err)
+	}
+	live := append(append([]wazi.Point{}, pts[:42]...), pts[43:]...)
+	want := index.NewBrute(live).KNN(q, len(live))
+	if got.Count != len(pts)-1 || len(got.Points) != len(want) {
+		t.Fatalf("k=MaxInt64 answered count %d with %d points, want all %d live", got.Count, len(got.Points), len(pts)-1)
+	}
+	for i := range want {
+		if got.Points[i] != want[i] {
+			t.Fatalf("rank %d: %v, want %v", i, got.Points[i], want[i])
+		}
 	}
 }
 

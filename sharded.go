@@ -3,6 +3,7 @@ package wazi
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -840,10 +841,12 @@ func pointRect(p Point) Rect {
 	return Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 }
 
-// KNN returns the k points nearest to q, closest first: per-shard candidate
-// sets are gathered by parallel fan-out and merged through a global
-// bounded max-heap. Equidistant neighbours are ordered by (distance, X, Y),
-// so the result is deterministic across shard layouts and backends.
+// KNN returns the k points nearest to q, closest first. The search is
+// nearest-shard-first: a full top-k on q's home shard certifies a radius,
+// and every other shard is searched only through the radius-bounded window
+// it could still contribute from — usually none is. Equidistant neighbours
+// are ordered by (distance, X, Y), so the result is deterministic across
+// shard layouts and backends.
 func (s *Sharded) KNN(q Point, k int) []Point {
 	s.knnQs.Add(1)
 	return s.knnAppendFromSnap(nil, s.snap.Load(), q, k, nil)
@@ -861,6 +864,15 @@ func (s *Sharded) knnFromSnap(snap *shardedSnapshot, q Point, k int, tr *obs.Que
 	return s.knnAppendFromSnap(nil, snap, q, k, tr)
 }
 
+// knnAppendFromSnap searches the shards sequentially, home shard first and
+// the rest by ascending MINDIST from q to their bounds (see knnTargets).
+// Candidates merge through a bounded max-heap on the arena's reusable
+// buffer: the root is the worst of the k best by the (distance, X, Y) total
+// order, so ties at the cut line resolve identically no matter which shard
+// produced them. Once the heap holds k points its root's distance r bounds
+// the answer, and each later shard is either skipped (its MINDIST exceeds
+// r, or no occupied cell meets the window) or range-scanned over the
+// square window [q±r]; while the heap is short, a shard gets a full top-k.
 func (s *Sharded) knnAppendFromSnap(dst []Point, snap *shardedSnapshot, q Point, k int, tr *obs.QueryTrace) []Point {
 	if k <= 0 {
 		return dst
@@ -870,34 +882,54 @@ func (s *Sharded) knnAppendFromSnap(dst []Point, snap *shardedSnapshot, q Point,
 	}
 	a := s.getArena(snap, tr)
 	defer a.release()
-	a.liveTargets()
-	s.obs.observeFanout(len(snap.shards), len(a.targets))
-	n := len(a.targets)
-	if n == 0 {
-		return dst
-	}
+	// Clamp k to the live count before any arithmetic on it: the per-shard
+	// over-fetch adds the tombstone count, which would wrap for huge k.
+	k = min(k, a.knnTargets(q))
 	a.q, a.k = q, k
-	a.ensure(n)
-	if n == 1 || s.pool.Inline() {
-		for ti := range a.targets {
-			a.knnFn(ti)
-		}
-	} else {
-		s.pool.Run(n, a.knnFn)
-	}
-	// Merge through a bounded max-heap on the arena's reusable buffer: the
-	// root is the worst of the k best by the (distance, X, Y) total order,
-	// so ties at the cut line resolve identically no matter which shard
-	// produced them.
+	a.ensure(len(a.targets))
 	h := a.heap[:0]
-	for _, cs := range a.bufs {
-		for _, p := range cs {
+	searched := 0
+	for ti, si := range a.targets {
+		if len(h) < k {
+			a.knnFn(ti)
+		} else {
+			r2 := geom.DistSq(h[0], q)
+			if a.dists[ti] > r2 {
+				// The heap fills on the home shard, so ti > 0 here: targets
+				// from there on are ordered by MINDIST and r only shrinks,
+				// so no later shard can beat the root either.
+				break
+			}
+			half := knnWindowHalf(r2)
+			w := Rect{MinX: q.X - half, MinY: q.Y - half, MaxX: q.X + half, MaxY: q.Y + half}
+			if !snap.shards[si].mayContain(w) {
+				continue
+			}
+			a.r = w
+			a.rangeFn(ti)
+		}
+		searched++
+		for _, p := range a.bufs[ti] {
 			h = geom.PushBounded(h, p, k, q)
 		}
 	}
+	s.obs.observeFanout(len(snap.shards), searched)
 	a.heap = h
 	geom.SortByDistance(h, q)
 	return append(dst, h...)
+}
+
+// knnWindowHalf returns the half-width of a square window around q that
+// holds every point p with geom.DistSq(p, q) <= r2, so a point at exactly
+// the k-th distance in another shard is still scanned. sqrt(r2) alone
+// falls short: the difference, squares, sum and root each round, and for
+// a few percent of points on an axis through q the root lands one ULP
+// below the coordinate difference. The root is therefore nudged up by a
+// few ULPs (relative 2^-50, above the accumulated rounding error) — a
+// wider window only admits candidates the heap then rejects. The floor
+// covers distances whose squares underflow to zero or to subnormals.
+func knnWindowHalf(r2 float64) float64 {
+	return max(math.Sqrt(r2)*(1+0x1p-50), 0x1p-500)
 }
 
 // shardKNNAppend appends one shard's k nearest candidates to q onto dst
@@ -936,8 +968,6 @@ func shardKNNAppend(dst []Point, ss *shardSnap, q Point, k int) []Point {
 	}
 	return dst
 }
-
-func distSq(a, b Point) float64 { return geom.DistSq(a, b) }
 
 // ---------------------------------------------------------------- writes
 

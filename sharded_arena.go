@@ -3,6 +3,7 @@ package wazi
 import (
 	"sync"
 
+	"github.com/wazi-index/wazi/internal/geom"
 	"github.com/wazi-index/wazi/internal/obs"
 )
 
@@ -35,6 +36,7 @@ type queryArena struct {
 	targets []int
 	bufs    [][]Point
 	counts  []int
+	dists   []float64 // kNN: MINDIST² from q per target (see knnTargets)
 	heap    []Point
 
 	rangeFn func(int)
@@ -139,12 +141,39 @@ func (a *queryArena) rectTargets(r Rect) {
 	}
 }
 
-// liveTargets fills a.targets with every shard serving at least one point —
-// the kNN fan-out set, which cannot be pruned by rectangle.
-func (a *queryArena) liveTargets() {
-	for i, ss := range a.snap.shards {
-		if !ss.empty && ss.live() > 0 {
-			a.targets = append(a.targets, i)
-		}
+// knnTargets fills a.targets with every shard serving at least one point,
+// in kNN search order, and a.dists with each target's MINDIST² from q (-1
+// for the home shard, which is searched unconditionally). The home shard
+// — the one q's key routes to, or, when that one serves nothing, the live
+// shard nearest q — comes first; the rest follow by ascending MINDIST,
+// ties by shard number. It returns the number of live points the snapshot
+// serves.
+func (a *queryArena) knnTargets(q Point) int {
+	home := a.snap.plan.Locate(q)
+	if ss := a.snap.shards[home]; ss.empty || ss.live() <= 0 {
+		home = -1
 	}
+	live := 0
+	a.dists = a.dists[:0]
+	for i, ss := range a.snap.shards {
+		n := ss.live()
+		if ss.empty || n <= 0 {
+			continue
+		}
+		live += n
+		d := geom.MinDistSq(q, ss.bounds)
+		if i == home {
+			d = -1 // sorts first
+		}
+		// Insertion sort: shard counts are small, and it keeps equal
+		// distances in shard order.
+		j := len(a.targets)
+		a.targets = append(a.targets, i)
+		a.dists = append(a.dists, d)
+		for ; j > 0 && a.dists[j-1] > d; j-- {
+			a.targets[j], a.dists[j] = a.targets[j-1], a.dists[j-1]
+		}
+		a.targets[j], a.dists[j] = i, d
+	}
+	return live
 }

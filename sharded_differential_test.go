@@ -21,13 +21,14 @@ type shardedAsIndex struct {
 	reopen func(t *testing.T) index.Index
 }
 
-func (a shardedAsIndex) RangeQuery(r geom.Rect) []geom.Point { return a.s.RangeQuery(r) }
-func (a shardedAsIndex) RangeCount(r geom.Rect) int          { return a.s.RangeCount(r) }
-func (a shardedAsIndex) PointQuery(p geom.Point) bool        { return a.s.PointQuery(p) }
-func (a shardedAsIndex) Len() int                            { return a.s.Len() }
-func (a shardedAsIndex) Bytes() int64                        { return a.s.Bytes() }
-func (a shardedAsIndex) Insert(p geom.Point)                 { a.s.Insert(p) }
-func (a shardedAsIndex) Delete(p geom.Point) bool            { return a.s.Delete(p) }
+func (a shardedAsIndex) RangeQuery(r geom.Rect) []geom.Point  { return a.s.RangeQuery(r) }
+func (a shardedAsIndex) RangeCount(r geom.Rect) int           { return a.s.RangeCount(r) }
+func (a shardedAsIndex) PointQuery(p geom.Point) bool         { return a.s.PointQuery(p) }
+func (a shardedAsIndex) Len() int                             { return a.s.Len() }
+func (a shardedAsIndex) Bytes() int64                         { return a.s.Bytes() }
+func (a shardedAsIndex) KNN(q geom.Point, k int) []geom.Point { return a.s.KNN(q, k) }
+func (a shardedAsIndex) Insert(p geom.Point)                  { a.s.Insert(p) }
+func (a shardedAsIndex) Delete(p geom.Point) bool             { return a.s.Delete(p) }
 func (a shardedAsIndex) Stats() *storage.Stats {
 	st := a.s.Stats()
 	return &st

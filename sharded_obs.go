@@ -16,7 +16,8 @@ import (
 // only a nil check.
 type ShardedObs struct {
 	// FanoutWidth observes, per range/count/kNN query, how many shards the
-	// fan-out targeted after pruning (unit: shards, not seconds).
+	// fan-out targeted after pruning — for kNN, how many shards the
+	// radius-bounded search actually visited (unit: shards, not seconds).
 	FanoutWidth *obs.Histogram
 	// FanoutPruned counts shards skipped by MBR/occupancy pruning.
 	FanoutPruned *obs.Counter

@@ -51,6 +51,45 @@ func TestShardedObsInstruments(t *testing.T) {
 	}
 }
 
+// TestShardedKNNFanoutWidth checks that kNN reports the shards it actually
+// searched: a small k is answered by the home shard plus whatever the
+// radius bound cannot rule out, while k = Len needs every shard.
+func TestShardedKNNFanoutWidth(t *testing.T) {
+	pts := obsTestPoints(6000, 3)
+	s, err := NewSharded(pts, nil, WithShards(4), WithoutAutoRebuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	o := s.Obs()
+	widths := func(run func()) (width float64, pruned int64) {
+		c0, s0, p0 := o.FanoutWidth.Count(), o.FanoutWidth.Sum(), o.FanoutPruned.Value()
+		run()
+		if o.FanoutWidth.Count() != c0+1 {
+			t.Fatalf("kNN observed %d fan-out widths, want 1", o.FanoutWidth.Count()-c0)
+		}
+		return o.FanoutWidth.Sum() - s0, o.FanoutPruned.Value() - p0
+	}
+	rng := rand.New(rand.NewSource(4))
+	narrow := 0
+	for i := 0; i < 50; i++ {
+		q := Point{X: rng.Float64(), Y: rng.Float64()}
+		w, pruned := widths(func() { s.KNN(q, 3) })
+		if w < 1 || w+float64(pruned) != 4 {
+			t.Fatalf("KNN(%v, 3): width %v, pruned %d over 4 shards", q, w, pruned)
+		}
+		if w < 4 {
+			narrow++
+		}
+	}
+	if narrow == 0 {
+		t.Fatal("no small-k kNN searched fewer than all 4 shards")
+	}
+	if w, _ := widths(func() { s.KNN(Point{X: 0.5, Y: 0.5}, len(pts)) }); w != 4 {
+		t.Fatalf("KNN(k = Len) searched %v shards, want 4", w)
+	}
+}
+
 func TestViewWithTraceSpans(t *testing.T) {
 	pts := obsTestPoints(6000, 2)
 	s, err := NewSharded(pts, nil, WithShards(4), WithoutAutoRebuild(),

@@ -388,11 +388,21 @@ func TestShardedRepartitionSoak(t *testing.T) {
 	}
 
 	// And the migrated state must survive a save/warm-start cycle intact.
+	// The background loop is still running, so a migration can land between
+	// Save and PlanEpoch; retry until no epoch change brackets the Save, so
+	// epoch is exactly the one the snapshot captured.
 	var snap bytes.Buffer
-	if err := s.Save(&snap); err != nil {
-		t.Fatal(err)
+	var epoch int
+	for {
+		epoch = s.PlanEpoch()
+		snap.Reset()
+		if err := s.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if s.PlanEpoch() == epoch {
+			break
+		}
 	}
-	epoch := s.PlanEpoch()
 	s.Close()
 	re, err := LoadSharded(bytes.NewReader(snap.Bytes()), WithShardedStorage(dir, 64), WithoutAutoRebuild())
 	if err != nil {

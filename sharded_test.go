@@ -82,6 +82,30 @@ func TestShardedMatchesSingleIndex(t *testing.T) {
 	}
 }
 
+// TestShardedKNNHugeK is the regression test for k overflow: the per-shard
+// over-fetch adds the tombstone count to k, which wrapped for k near
+// math.MaxInt and silently truncated the answer. A k past the live count
+// must return every live point, nearest first.
+func TestShardedKNNHugeK(t *testing.T) {
+	pts := testData(5000, 61)
+	s := newTestSharded(t, pts, testWorkload(100, 62), wazi.WithShards(4), wazi.WithoutAutoRebuild())
+	if !s.Delete(pts[17]) {
+		t.Fatal("Delete of an indexed point reported not found")
+	}
+	live := append(append([]wazi.Point{}, pts[:17]...), pts[18:]...)
+	q := wazi.Point{X: 0.3, Y: 0.6}
+	got := s.KNN(q, math.MaxInt)
+	want := index.NewBrute(live).KNN(q, math.MaxInt)
+	if len(got) != len(live) {
+		t.Fatalf("KNN(q, MaxInt) returned %d points, want all %d live", len(got), len(live))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("KNN(q, MaxInt) rank %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 // assertKNN verifies a kNN result against a brute-force scan by comparing
 // the multiset of distances (coordinate ties make the exact point set
 // ambiguous).
